@@ -2,8 +2,9 @@
 # Local pre-push check — the same gates CI runs, in the same order.
 #
 #   scripts/check.sh           # ruff (if installed) + scalla-lint +
-#                              # tier-1 tests + determinism double-run +
-#                              # sanitized chaos soak
+#                              # tier-1 tests + perfbench tests +
+#                              # determinism double-run + sanitized
+#                              # chaos soak
 #   scripts/check.sh --bench   # also run the E1/E6 smoke benches,
 #                              # validate their metric snapshots, and
 #                              # gate the perf suite against the
@@ -45,6 +46,9 @@ python -m repro.analysis.lint src tests benchmarks
 
 echo "== tier-1 tests"
 python -m pytest -x -q
+
+echo "== benchmark harness tests (perfbench)"
+python -m pytest perfbench -q
 
 echo "== determinism (same-seed double run, SimSan on run 2)"
 python -m repro.analysis.determinism --sanitize

@@ -340,10 +340,13 @@ class Cmsd:
 
     # -- outbound helpers -----------------------------------------------------
 
-    def _send(self, to: str, msg: object) -> None:
+    def _send(self, to: str, msg: object, size: int | None = None) -> None:
+        """Send *msg*; *size* skips re-sizing a message sent to many."""
         if self._obs is not None:
             self._m_msgs.inc()
-        self.network.send(self.host.name, to, msg, size=pr.estimate_size(msg))
+        if size is None:
+            size = pr.estimate_size(msg)
+        self.network.send(self.host.name, to, msg, size=size)
 
     def _login_to_parent(self, parent: str) -> None:
         msg = pr.Login(
@@ -794,11 +797,12 @@ class Cmsd:
             serial=self._query_serial,
             refresh=refresh,
         )
+        size = pr.estimate_size(q)
         fanout = 0
         for slot in bitvec.iter_bits(targets):
             name = self.membership.server_name(slot)
             if name is not None:
-                self._send(cmsd_host(name), q)
+                self._send(cmsd_host(name), q, size)
                 self.stats.queries_sent += 1
                 fanout += 1
         if self._obs is not None and fanout:

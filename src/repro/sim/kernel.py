@@ -19,7 +19,9 @@ Design rules:
 * **Small surface.**  Processes wait on: a :class:`Timeout`, another
   :class:`Process` (join), a bare :class:`Event` (signal), or the composite
   :class:`AnyOf` / :class:`AllOf`.  That is enough to express every protocol
-  in the paper.
+  in the paper.  Work that needs no coroutine — delivering a network
+  message — is a *callback timer* instead (:meth:`Simulator.call_later`):
+  one heap entry that calls ``fn(arg)``, with no generator or event.
 * **Never allocate on the dispatch path.**  This is the hottest loop in the
   repo (``benchmarks/perf`` tracks it), so the kernel follows the paper's
   allocation discipline: process bootstrap, interrupt delivery and
@@ -105,7 +107,7 @@ class Event:
             raise SimError("event already triggered")
         self._value = value
         sim = self.sim
-        _heappush(sim._heap, (sim._now, sim._seq, self))
+        _heappush(sim._heap, (sim._now, sim._seq, _fire_event, self))
         sim._seq += 1
         return self
 
@@ -116,7 +118,7 @@ class Event:
             raise TypeError("fail() needs an exception instance")
         self._exception = exception
         sim = self.sim
-        _heappush(sim._heap, (sim._now, sim._seq, self))
+        _heappush(sim._heap, (sim._now, sim._seq, _fire_event, self))
         sim._seq += 1
         return self
 
@@ -136,8 +138,8 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise SimError(f"negative timeout {delay}")
-        # Event.__init__ and Simulator._enqueue, flattened: a Timeout is
-        # born once per simulated delay, squarely on the hot path.
+        # Event.__init__ and the heap push, flattened: a Timeout is born
+        # once per simulated delay, squarely on the hot path.
         self.sim = sim
         self.callbacks = []
         self._value = _PENDING
@@ -146,7 +148,7 @@ class Timeout(Event):
         # The value is deferred until the heap pops us: a Timeout must not
         # look triggered before its time arrives (AnyOf inspects children).
         self._pending_value = value
-        _heappush(sim._heap, (sim._now + delay, sim._seq, self))
+        _heappush(sim._heap, (sim._now + delay, sim._seq, self.__class__._fire, self))
         sim._seq += 1
 
     def _fire(self) -> None:
@@ -159,10 +161,10 @@ class Timeout(Event):
 class _PooledTimeout(Timeout):
     """Kernel-owned :class:`Timeout` storage, recycled after dispatch.
 
-    Handed out by :meth:`Simulator.sleep`; the dispatch loop returns the
-    object to the simulator's free list right after its waiter runs, so
-    the caller must *only* yield it and never keep a reference past the
-    resume (exactly the ``yield sim.sleep(d)`` idiom).
+    Handed out by :meth:`Simulator.sleep`; firing returns the object to
+    the simulator's free list right after its waiter runs, so the caller
+    must *only* yield it and never keep a reference past the resume
+    (exactly the ``yield sim.sleep(d)`` idiom).
 
     Because that contract means at most one waiter — the yielding process
     — the waiter lives in the dedicated ``_waiter`` slot and is resumed
@@ -194,6 +196,11 @@ class _PooledTimeout(Timeout):
         # Keep the (empty) waiter list for the next lease of this
         # storage — one fewer allocation per recycled sleep.
         self._cb_store = callbacks
+        self.sim._timeout_pool.append(self)
+
+
+_fire_event = Event._fire
+_fire_pooled = _PooledTimeout._fire
 
 
 class Process(Event):
@@ -434,8 +441,10 @@ class Simulator:
 
     Two dispatch sources, serviced in exact ``(time, seq)`` order:
 
-    * ``_heap`` — triggered events and timeouts, ordered by
-      ``(time, sequence)``;
+    * ``_heap`` — ``(time, seq, fn, arg)`` entries, run as ``fn(arg)``:
+      triggered events and timeouts (``fn`` is the event class's
+      ``_fire``, ``arg`` the event) and :meth:`call_later` callback
+      timers;
     * ``_ready`` — the deferred-resume ring: immediate callbacks (process
       bootstrap, interrupts, already-processed wakeups) recorded as
       ``(seq, fn, value, exc)`` tuples.  Ring entries are always stamped
@@ -448,7 +457,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._heap: list[tuple[float, int, Event]] = []
+        self._heap: list[tuple[float, int, Callable[[Any], None], Any]] = []
         self._ready: deque[tuple[int, Callable, Any, BaseException | None]] = deque()
         self._timeout_pool: list[_PooledTimeout] = []
         self._seq = 0
@@ -504,9 +513,23 @@ class Simulator:
         t._exception = None
         t.delay = delay
         t._pending_value = value
-        _heappush(self._heap, (self._now + delay, self._seq, t))
+        _heappush(self._heap, (self._now + delay, self._seq, _fire_pooled, t))
         self._seq += 1
         return t
+
+    def call_later(self, delay: float, fn: Callable[[Any], None], arg: Any = None) -> None:
+        """Run ``fn(arg)`` from the dispatch loop *delay* seconds from now.
+
+        A callback timer: one heap entry in the same ``(time, seq)`` order
+        as every event, with no :class:`Event`, generator or process
+        behind it.  *fn* runs outside any process, so it may wake parked
+        processes synchronously (:meth:`repro.sim.sync.Store.deliver`);
+        it must not block.  The network delivers every message this way.
+        """
+        if delay < 0:
+            raise SimError(f"negative timeout {delay}")
+        _heappush(self._heap, (self._now + delay, self._seq, fn, arg))
+        self._seq += 1
 
     def process(self, gen: Generator, name: str | None = None) -> Process:
         return Process(self, gen, name)
@@ -518,10 +541,6 @@ class Simulator:
         return AllOf(self, events)
 
     # -- scheduling --------------------------------------------------------
-
-    def _enqueue(self, event: Event, delay: float = 0.0) -> None:
-        heapq.heappush(self._heap, (self._now + delay, self._seq, event))
-        self._seq += 1
 
     def _defer(self, fn: Callable, value: Any, exc: BaseException | None) -> None:
         """Schedule ``fn(value, exc)`` at the current time, next sequence.
@@ -554,16 +573,14 @@ class Simulator:
                 self._obs_heap.value = len(self._heap) + len(self._ready)
             fn(value, exc)
             return
-        when, _seq, event = heapq.heappop(self._heap)
+        when, _seq, fn, arg = _heappop(self._heap)
         assert when >= self._now, "time went backwards"
         self._now = when
         self.events_processed += 1
         if self._obs_events is not None:
             self._obs_events.inc()
             self._obs_heap.value = len(self._heap) + len(self._ready)
-        event._fire()
-        if event.__class__ is _PooledTimeout:
-            self._timeout_pool.append(event)
+        fn(arg)
 
     def run(self, until: float | None = None) -> None:
         """Run until the queues drain or the clock passes *until*.
@@ -586,7 +603,7 @@ class Simulator:
         # setup-time call), so the loop hoists the None check to one load.
         obs_events = self._obs_events
         obs_heap = self._obs_heap
-        pooled = _PooledTimeout
+        fire_pooled = _fire_pooled
         processed = 0
         try:
             if until is None and obs_events is None:
@@ -600,11 +617,12 @@ class Simulator:
                         processed += 1
                         fn(value, exc)
                         continue
-                    when, _seq, event = pop(heap)
+                    when, _seq, fn, arg = pop(heap)
                     self._now = when
                     processed += 1
-                    if event.__class__ is pooled:
-                        # _PooledTimeout._fire + recycle, inlined.
+                    if fn is fire_pooled:
+                        # _PooledTimeout._fire, inlined.
+                        event = arg
                         value = event._pending_value
                         event._value = value
                         callbacks = event.callbacks
@@ -620,7 +638,7 @@ class Simulator:
                         event._cb_store = callbacks
                         pool.append(event)
                     else:
-                        event._fire()
+                        fn(arg)
                 return
             while heap or ready:
                 if ready and (not heap or heap[0][0] > self._now or heap[0][1] > ready[0][0]):
@@ -635,15 +653,13 @@ class Simulator:
                 if until is not None and when > until:
                     self._now = until
                     return
-                when, _seq, event = pop(heap)
+                when, _seq, fn, arg = pop(heap)
                 self._now = when
                 processed += 1
                 if obs_events is not None:
                     obs_events.inc()
                     obs_heap.value = len(heap) + len(ready)
-                event._fire()
-                if event.__class__ is pooled:
-                    pool.append(event)  # _fire left it drained and detached
+                fn(arg)
         except StopSimulation:
             return
         finally:

@@ -6,6 +6,13 @@ hosts after a sampled link latency, drops traffic to dead or partitioned
 hosts, and counts everything — message counts are primary data for the
 protocol-efficiency experiment (E7) and the registration experiment (E11).
 
+Each message in flight is one kernel callback timer
+(:meth:`~repro.sim.kernel.Simulator.call_later`) carrying its
+:class:`Envelope`; no process is spawned per message.  When the timer
+fires, the liveness and partition checks run again and the envelope goes
+straight to the receiving daemon if it is parked on its inbox
+(:meth:`~repro.sim.sync.Store.deliver`).
+
 Message payloads are opaque to the network; the cluster layer defines its
 own message dataclasses (:mod:`repro.cluster.protocol`).
 """
@@ -195,9 +202,12 @@ class Network:
     def latency_model(self, src: str, dst: str) -> LatencyModel:
         """Resolution order: explicit link override, then the site pair
         (when both hosts are placed at different sites), then the default."""
-        override = self._link_latency.get((src, dst))
-        if override is not None:
-            return override
+        if self._link_latency:
+            override = self._link_latency.get((src, dst))
+            if override is not None:
+                return override
+        if not self._site_latency:
+            return self.default_latency
         s_src, s_dst = self._host_site.get(src), self._host_site.get(dst)
         if s_src is not None and s_dst is not None and s_src != s_dst:
             site_model = self._site_latency.get(frozenset((s_src, s_dst)))
@@ -246,6 +256,8 @@ class Network:
 
     def _blocked(self, src: str, dst: str) -> bool:
         """All the ways the src->dst direction can be severed."""
+        if not (self._partitioned or self._partitioned_oneway or self._isolated):
+            return False
         if frozenset((src, dst)) in self._partitioned:
             return True
         if (src, dst) in self._partitioned_oneway:
@@ -288,19 +300,19 @@ class Network:
                 delays[0] += cz.delay_spike * crng.random()
                 self.stats.chaos_delayed += 1
 
-        sent_at = self.sim.now
-
-        def deliver(d: float):
-            yield self.sim.sleep(d)
-            if not target.alive or self._blocked(src, dst):
-                self.stats.dropped_dead += not target.alive
-                self.stats.dropped_partition += target.alive
-                return
-            env = Envelope(src=src, dst=dst, payload=payload, sent_at=sent_at)
-            env.delivered_at = self.sim.now
-            self.stats.delivered += 1
-            target.inbox.put(env)
-
+        sim = self.sim
+        sent_at = sim._now
         for d in delays:
-            self.sim.process(deliver(d), name=f"deliver:{src}->{dst}")
+            sim.call_later(d, self._deliver, Envelope(src, dst, payload, sent_at))
         return True
+
+    def _deliver(self, env: Envelope) -> None:
+        """Delivery timer: drop if the path died in flight, else hand over."""
+        target = self.hosts[env.dst]
+        if not target.alive or self._blocked(env.src, env.dst):
+            self.stats.dropped_dead += not target.alive
+            self.stats.dropped_partition += target.alive
+            return
+        env.delivered_at = self.sim._now
+        self.stats.delivered += 1
+        target.inbox.deliver(env)

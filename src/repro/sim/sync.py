@@ -3,7 +3,10 @@
 Two primitives cover everything the cluster layer needs:
 
 * :class:`Store` — an unbounded FIFO mailbox.  Every daemon (cmsd, xrootd,
-  client) is a process looping on ``msg = yield inbox.get()``.
+  client) is a process looping on ``msg = yield inbox.get()``.  The
+  network's delivery timers fill it with :meth:`Store.deliver`, which
+  resumes a daemon parked on ``get()`` on the spot instead of scheduling
+  a second wake-up at the same instant.
 * :class:`Resource` — a counting semaphore used to model finite server
   capacity (disk streams, CPU slots) so load experiments produce queueing
   rather than infinite parallelism.
@@ -15,7 +18,7 @@ from collections import deque
 from typing import Any
 
 from repro.sim.kernel import Event, Simulator
-from repro.sim.kernel import _heappush, _PENDING  # hot-path handoff (see Store)
+from repro.sim.kernel import _fire_event, _heappush, _PENDING  # hot-path handoff (see Store)
 
 __all__ = ["Store", "Resource"]
 
@@ -40,9 +43,10 @@ class Store:
     def put(self, item: Any) -> None:
         """Deposit *item*; wakes the oldest waiting getter, if any.
 
-        This is the cmsd-inbox hot path (one put per protocol message), so
-        the wakeup inlines ``Event.succeed`` on the getter we just proved
-        pending rather than re-checking through the public method.
+        The wakeup is queued at the current time, so ``put`` is safe from
+        inside a running process.  It inlines ``Event.succeed`` on the
+        getter we just proved pending (the kernel ``store`` scenario in
+        ``benchmarks/perf`` times this path).
         """
         getters = self._getters
         while getters:
@@ -51,8 +55,28 @@ class Store:
                 continue  # getter was interrupted/abandoned
             getter._value = item
             sim = getter.sim
-            _heappush(sim._heap, (sim._now, sim._seq, getter))
+            _heappush(sim._heap, (sim._now, sim._seq, _fire_event, getter))
             sim._seq += 1
+            return
+        self._items.append(item)
+
+    def deliver(self, item: Any) -> None:
+        """:meth:`put` for kernel callbacks: a parked getter runs *now*.
+
+        The oldest pending getter fires synchronously — its waiter resumes
+        inside this call, at the current time — instead of being queued
+        as a second event at the same instant.  Only call this from a
+        :meth:`Simulator.call_later <repro.sim.kernel.Simulator.call_later>`
+        callback, never from inside a running process: the resumed
+        generator may be the caller's own.
+        """
+        getters = self._getters
+        while getters:
+            getter = getters.popleft()
+            if getter._value is not _PENDING or getter._exception is not None:
+                continue  # getter was interrupted/abandoned
+            getter._value = item
+            _fire_event(getter)
             return
         self._items.append(item)
 
@@ -68,7 +92,7 @@ class Store:
         if items:
             # Inlined ev.succeed(...): the event is fresh, provably pending.
             ev._value = items.popleft()
-            _heappush(sim._heap, (sim._now, sim._seq, ev))
+            _heappush(sim._heap, (sim._now, sim._seq, _fire_event, ev))
             sim._seq += 1
         else:
             ev._value = _PENDING
