@@ -27,7 +27,10 @@ reproduction:
 * the kernel's dispatch path never allocates event objects (SCA003) —
   ``Simulator.step()``/``run()`` must route immediate wakeups through the
   deferred-resume ring and recycled timeout storage, or the allocation
-  rate the ``benchmarks/perf`` suite gates on silently creeps back.
+  rate the ``benchmarks/perf`` suite gates on silently creeps back;
+* a counted fact has one home, a field of the component that counts it
+  (SCA004) — outside :mod:`repro.obs` nothing creates a pushed counter or
+  calls ``Counter.inc``; the registry pulls the field instead.
 
 Every rule supports per-line suppression with ``# scalla-lint:
 disable=RULE`` and per-file suppression with ``# scalla-lint:
@@ -486,3 +489,38 @@ class NoDispatchAllocation(Rule):
                             f"Simulator.{fn.name}(); the dispatch path must use "
                             "the deferred-resume ring / pooled timeouts instead",
                         )
+
+
+# -- SCA004: counters are pulled from fields, never pushed -----------------------
+
+
+@register
+class NoPushedCounters(Rule):
+    id = "SCA004"
+    title = "no `metrics.counter(...)` or `Counter.inc` outside repro.obs"
+    rationale = (
+        "Every fact the protocol counts already lives in a field of the "
+        "component that counts it (a `*Stats` dataclass or a plain "
+        "attribute), and `MetricsRegistry.pull_counters` binds the series "
+        "to that field.  A pushed `Counter` beside it is a second copy of "
+        "the fact that can drift from the first, and puts an "
+        "`obs is not None` branch back on the hot path.  Count in the "
+        "field; bind it once."
+    )
+
+    def applies_to(self, path: str) -> bool:
+        return "repro/obs/" not in path and "tests/obs/" not in path
+
+    def check(self, tree: ast.Module, ctx: "FileContext") -> None:
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("counter", "inc")
+            ):
+                ctx.report(
+                    self,
+                    node,
+                    f"`{ast.unparse(node.func)}(...)` pushes a second copy of a counted "
+                    "fact; count it in a field and bind that with `metrics.pull_counters`",
+                )

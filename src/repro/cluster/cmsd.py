@@ -140,8 +140,13 @@ class CmsdConfig:
 
 @dataclass
 class CmsdStats:
+    #: Every message this daemon put on the wire.
+    messages_sent: int = 0
     locates: int = 0
     redirects: int = 0
+    #: Redirects answered straight from the cache; ``redirects`` also
+    #: counts those sent when a response released a queued client.
+    sync_redirects: int = 0
     waits_sent: int = 0
     notfounds: int = 0
     queries_sent: int = 0
@@ -170,6 +175,21 @@ class CmsdStats:
     orphaned_seconds: float = 0.0
     prepares: int = 0
     refreshes: int = 0
+
+
+#: The counter series of ``repro.obs`` that read a :class:`CmsdStats` field.
+STATS_SERIES = {
+    "cmsd_messages_sent_total": "messages_sent",
+    "cmsd_locate_requests_total": "locates",
+    "cmsd_redirects_total": "sync_redirects",
+    "cmsd_waits_sent_total": "waits_sent",
+    "cmsd_notfounds_total": "notfounds",
+    "cmsd_queries_sent_total": "queries_sent",
+    "cmsd_haves_received_total": "haves_received",
+    "cmsd_fast_released_total": "fast_released",
+    "rq_requeries_total": "requeries",
+    "rehomes_total": "rehomes",
+}
 
 
 @dataclass
@@ -224,6 +244,7 @@ class Cmsd:
         *,
         parents: tuple[str, ...] = (),  # parent node names
         standbys: tuple[str, ...] = (),  # failover parents, in order
+        managers: tuple[str, ...] = (),  # the cluster's peer managers
         exports: tuple[str, ...] = ("/store",),
         xrootd: XrootdServer | None = None,
         config: CmsdConfig | None = None,
@@ -243,6 +264,7 @@ class Cmsd:
             p for p in parents if p not in standbys
         )
         self._standby_idx = 0
+        self.managers = managers
         self.exports = exports
         self.xrootd = xrootd
         self.config = config if config is not None else CmsdConfig()
@@ -250,23 +272,14 @@ class Cmsd:
         self.instance = instance
         self.host = network.hosts.get(node_id.cmsd) or network.add_host(node_id.cmsd)
         self.stats = CmsdStats()
-        # Observability (repro.obs): obs=None keeps every hot path on the
-        # uninstrumented branch of a single None check.
+        # Observability (repro.obs): counters are read from self.stats at
+        # snapshot time; only traces pay an `is not None` check.
         self._obs = obs
         if obs is not None:
-            name = node_id.name
-            m = obs.metrics
-            self._m_msgs = m.counter("cmsd_messages_sent_total", node=name)
-            self._m_locates = m.counter("cmsd_locate_requests_total", node=name)
-            self._m_redirects = m.counter("cmsd_redirects_total", node=name)
-            self._m_waits = m.counter("cmsd_waits_sent_total", node=name)
-            self._m_notfounds = m.counter("cmsd_notfounds_total", node=name)
-            self._m_queries = m.counter("cmsd_queries_sent_total", node=name)
-            self._m_haves_rx = m.counter("cmsd_haves_received_total", node=name)
-            self._m_fast_released = m.counter("cmsd_fast_released_total", node=name)
-            self._m_requeries = m.counter("rq_requeries_total", node=name)
-            self._m_rehomes = m.counter("rehomes_total", node=name)
-            self._m_orphaned = m.gauge("orphaned_subtree_seconds", node=name)
+            obs.metrics.pull_counters(self.stats, STATS_SERIES, node=node_id.name)
+            obs.metrics.pull_gauge(
+                "orphaned_subtree_seconds", self.stats, "orphaned_seconds", node=node_id.name
+            )
 
         if node_id.role is not Role.SERVER:
             self.membership = ClusterMembership(obs=obs, node=node_id.name)
@@ -306,6 +319,7 @@ class Cmsd:
         #: observed one-way delivery delay of logins/heartbeats/responses
         #: and from query-response latencies.  Sizes adaptive windows.
         self._peer_rtt: dict[str, float] = {}
+        self._booted_at = 0.0
 
         if node_id.role is Role.SERVER and xrootd is not None:
             # The "newfile" advisory hook: without it, a manager whose cache
@@ -316,6 +330,7 @@ class Cmsd:
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> None:
+        self._booted_at = self.sim.now
         self._procs = [self.sim.process(self._main_loop(), name=f"cmsd:{self.node_id.name}")]
         if self.node_id.role is not Role.SERVER:
             self._procs.append(
@@ -342,8 +357,7 @@ class Cmsd:
 
     def _send(self, to: str, msg: object, size: int | None = None) -> None:
         """Send *msg*; *size* skips re-sizing a message sent to many."""
-        if self._obs is not None:
-            self._m_msgs.inc()
+        self.stats.messages_sent += 1
         if size is None:
             size = pr.estimate_size(msg)
         self.network.send(self.host.name, to, msg, size=size)
@@ -390,8 +404,6 @@ class Cmsd:
                     # Every parent unreachable: the whole subtree below us
                     # is orphaned until a re-home or re-login lands.
                     self.stats.orphaned_seconds += self.config.heartbeat_interval
-                    if self._obs is not None:
-                        self._m_orphaned.set(self.stats.orphaned_seconds)
                 for parent in silent:
                     self._handle_silent_parent(parent, now)
                 if self.sanitizer is not None and self.parents:
@@ -434,7 +446,10 @@ class Cmsd:
         of the dead one.  The adopter treats our Login as an ordinary
         §III-A4 "server added" membership event (fresh slot, C-counter
         stamp), so every cached location above stays correctable with zero
-        cache walks.  Returns False when there is nowhere to go (e.g. a
+        cache walks.  A subordinate that re-homes to the manager level logs
+        into every peer manager, as each top-level subordinate does: a
+        manager it skipped would answer for the files below it with a false
+        NotFound.  Returns False when there is nowhere to go (e.g. a
         top-level subordinate already logged into every manager).
         """
         pool = self._standby_pool
@@ -447,19 +462,24 @@ class Cmsd:
                 break
         else:
             return False
-        self.parents = tuple(p for p in self.parents if p != dead_parent) + (candidate,)
+        adopted = (candidate,)
+        if candidate in self.managers:
+            adopted = tuple(
+                m for m in self.managers if m != dead_parent and m not in self.parents
+            )
+        self.parents = tuple(p for p in self.parents if p != dead_parent) + adopted
         self._last_parent_ack.pop(dead_parent, None)
         self._relogin_state.pop(dead_parent, None)
         self.stats.rehomes += 1
-        self._login_to_parent(candidate)
+        for parent in adopted:
+            self._login_to_parent(parent)
         if self._obs is not None:
-            self._m_rehomes.inc()
             self._obs.tracer.cluster_event(
                 "cmsd.rehome",
                 time=now,
                 node=self.node_id.name,
                 old=dead_parent,
-                new=candidate,
+                new=",".join(adopted),
             )
         if self.sanitizer is not None:
             self.sanitizer.check_subordinate(self)
@@ -507,8 +527,6 @@ class Cmsd:
                             ),
                         )
                         self.stats.waits_sent += 1
-                        if self._obs is not None:
-                            self._m_waits.inc()
         except Interrupt:
             return
 
@@ -547,7 +565,6 @@ class Cmsd:
                 self._flood_queries(obj, payload.path, ref.hash_val, waiter.mode)
             self.stats.requeries += 1
             if self._obs is not None:
-                self._m_requeries.inc()
                 self._obs.tracer.event(
                     payload.path,
                     "rq.requery",
@@ -806,7 +823,6 @@ class Cmsd:
                 self.stats.queries_sent += 1
                 fanout += 1
         if self._obs is not None and fanout:
-            self._m_queries.inc(fanout)
             self._obs.tracer.event(path, "query.flood", node=self.node_id.name, fanout=fanout)
         obj.v_q &= ~targets & bitvec.FULL_MASK
 
@@ -866,14 +882,11 @@ class Cmsd:
             pr.Redirect(msg.req_id, msg.path, target=name, target_role=role, pending=pending),
         )
         self.stats.redirects += 1
-        if self._obs is not None:
-            self._m_redirects.inc()
+        self.stats.sync_redirects += 1
 
     def _send_wait(self, msg: pr.Locate) -> None:
         self._send(msg.reply_to, pr.Wait(msg.req_id, msg.path, self.config.full_delay))
         self.stats.waits_sent += 1
-        if self._obs is not None:
-            self._m_waits.inc()
 
     def _on_locate(self, msg: pr.Locate) -> None:
         """Handle a client Locate; the traced wrapper around the resolution.
@@ -887,7 +900,6 @@ class Cmsd:
         if obs is None:
             self._do_locate(msg)
             return
-        self._m_locates.inc()
         trace = obs.tracer.active(msg.path)
         span = (
             trace.begin("cmsd.locate", obs.now(), node=self.node_id.name, refresh=msg.refresh)
@@ -951,14 +963,18 @@ class Cmsd:
                 return "wait-full-rejected"
             return "enqueued"
 
+        if not self.membership.v_members and now < self._booted_at + self.config.full_delay:
+            # Booted moments ago and no subordinate has logged in yet (a
+            # restart: they re-login on their next heartbeat).  Knowing
+            # nobody is not knowing the file is absent: ask again later.
+            self._send_wait(msg)
+            return "wait-startup"
         # Deadline passed and nothing turned up: the file does not exist
         # anywhere below us.
         if msg.create:
             return self._place_create(msg, obj)
         self._send(msg.reply_to, pr.NotFound(msg.req_id, msg.path))
         self.stats.notfounds += 1
-        if self._obs is not None:
-            self._m_notfounds.inc()
         return "notfound"
 
     def _open_wait_span(self, path: str):
@@ -987,8 +1003,6 @@ class Cmsd:
         if not eligible:
             self._send(msg.reply_to, pr.NotFound(msg.req_id, msg.path))
             self.stats.notfounds += 1
-            if self._obs is not None:
-                self._m_notfounds.inc()
             return "notfound"
         slot = self.config.create_policy.choose(eligible, self.metrics)
         self._redirect(msg, slot, pending=False)
@@ -1068,7 +1082,6 @@ class Cmsd:
         now = self.sim.now
         self.stats.haves_received += 1
         if self._obs is not None:
-            self._m_haves_rx.inc()
             self._obs.tracer.event(
                 msg.path, "have.received", node=self.node_id.name, holder=msg.node
             )
@@ -1120,17 +1133,14 @@ class Cmsd:
             return
         self.stats.fast_released += len(released)
         self.stats.late_released += len(late)
-        if self._obs is not None:
-            if released:
-                self._m_fast_released.inc(len(released))
-            if late:
-                self._obs.tracer.event(
-                    msg.path,
-                    "rq.late_release",
-                    node=self.node_id.name,
-                    holder=msg.node,
-                    waiters=len(late),
-                )
+        if self._obs is not None and late:
+            self._obs.tracer.event(
+                msg.path,
+                "rq.late_release",
+                node=self.node_id.name,
+                holder=msg.node,
+                waiters=len(late),
+            )
         name = self.membership.server_name(slot)
         info = self.children.get(name)
         role = info.role.value if info is not None else Role.SERVER.value

@@ -39,6 +39,7 @@ class ScallaNode:
         mss: MassStorage | None = None,
         cnsd_host: str | None = None,
         rng: random.Random | None = None,
+        managers: tuple[str, ...] = (),
         obs=None,
     ) -> None:
         self.sim = sim
@@ -49,6 +50,8 @@ class ScallaNode:
         self.mss = mss
         self.cnsd_host = cnsd_host
         self.rng = rng if rng is not None else random.Random(0)
+        #: The cluster's peer managers (XRootD's ``all.manager`` list).
+        self.managers = managers
         #: Observability hub shared cluster-wide; survives crash/restart
         #: (metrics are per-node series, a rebooted daemon keeps counting).
         self.obs = obs
@@ -112,6 +115,7 @@ class ScallaNode:
             self.spec.node_id,
             parents=self.spec.parents,
             standbys=self.spec.standbys,
+            managers=self.managers,
             exports=self.spec.exports,
             xrootd=self.xrootd,
             config=self.cmsd_config,

@@ -71,6 +71,15 @@ class _PathEntry:
     refcount: dict[int, int] = field(default_factory=dict)
 
 
+#: The counter series of ``repro.obs`` that read a
+#: :class:`ClusterMembership` attribute.
+STATS_SERIES = {
+    "membership_logins_total": "n_c",  # N_c counts every login
+    "membership_disconnects_total": "disconnects",
+    "membership_drops_total": "drops",
+}
+
+
 class ClusterMembership:
     """Tracks a cmsd's direct subordinates and the correction state.
 
@@ -93,14 +102,14 @@ class ClusterMembership:
         self.v_offline: int = 0
         #: Mask of slots currently occupied (online or offline).
         self.v_members: int = 0
-        # Observability (repro.obs): membership churn counters plus live
-        # member/online gauges — the inputs the lazy-correction machinery
-        # reacts to.
+        #: Cumulative disconnects and drops; N_c already counts logins.
+        self.disconnects = 0
+        self.drops = 0
+        # Observability (repro.obs): the churn counters are read at
+        # snapshot time; the member/online gauges sample each event.
         self._obs = obs
         if obs is not None:
-            self._m_logins = obs.metrics.counter("membership_logins_total", node=node)
-            self._m_disconnects = obs.metrics.counter("membership_disconnects_total", node=node)
-            self._m_drops = obs.metrics.counter("membership_drops_total", node=node)
+            obs.metrics.pull_counters(self, STATS_SERIES, node=node)
             self._m_members = obs.metrics.gauge("membership_members", node=node)
             self._m_online = obs.metrics.gauge("membership_online", node=node)
 
@@ -185,9 +194,7 @@ class ClusterMembership:
                 current.logins += 1
                 self.v_offline &= ~bitvec.bit(existing) & bitvec.FULL_MASK
                 self._stamp_connection(existing)
-                if self._obs is not None:
-                    self._m_logins.inc()
-                    self._observe_membership()
+                self._observe_membership()
                 return existing
 
         if slot is None:
@@ -208,9 +215,7 @@ class ClusterMembership:
             entry.v_m |= bitvec.bit(slot)
             entry.refcount[slot] = entry.refcount.get(slot, 0) + 1
         self._stamp_connection(slot)
-        if self._obs is not None:
-            self._m_logins.inc()
-            self._observe_membership()
+        self._observe_membership()
         return slot
 
     def disconnect(self, name: str) -> int:
@@ -225,9 +230,8 @@ class ClusterMembership:
         assert entry is not None
         entry.online = False
         self.v_offline |= bitvec.bit(slot)
-        if self._obs is not None:
-            self._m_disconnects.inc()
-            self._observe_membership()
+        self.disconnects += 1
+        self._observe_membership()
         return slot
 
     def drop(self, slot_or_name) -> int:
@@ -255,9 +259,8 @@ class ClusterMembership:
         mask = ~bitvec.bit(slot) & bitvec.FULL_MASK
         self.v_members &= mask
         self.v_offline &= mask
-        if self._obs is not None:
-            self._m_drops.inc()
-            self._observe_membership()
+        self.drops += 1
+        self._observe_membership()
         return slot
 
     # -- internals ---------------------------------------------------------

@@ -126,6 +126,17 @@ class _Anchor:
         return waiters
 
 
+#: The counter series of ``repro.obs`` that read a :class:`ResponseQueue`
+#: attribute.
+STATS_SERIES = {
+    "rq_enqueued_total": "enqueued",
+    "rq_rejected_total": "rejected",
+    "rq_released_total": "fast_responses",
+    "rq_expired_total": "timeouts",
+    "rq_late_responses_total": "late_responses",
+}
+
+
 class ResponseQueue:
     """The 1024-anchor fast response queue with 133 ms expiry clocking."""
 
@@ -154,20 +165,18 @@ class ResponseQueue:
         self._park_order: list[tuple[float, str, int]] = []
         self._active = 0
         # Statistics surfaced by bench E6 / E6-wan.
+        self.enqueued = 0
         self.fast_responses = 0
         self.timeouts = 0
         self.rejected = 0
         self.late_responses = 0
-        # Observability (repro.obs): instruments resolved once, every hot
-        # site below guards with one `is not None` check.
+        # Observability (repro.obs): the counters above and the active
+        # anchor count are read at snapshot time; the window gauge and the
+        # wait histogram are pushed behind one `is not None` check.
         self._obs = obs
         if obs is not None:
-            self._m_enq = obs.metrics.counter("rq_enqueued_total", node=node)
-            self._m_rejected = obs.metrics.counter("rq_rejected_total", node=node)
-            self._m_released = obs.metrics.counter("rq_released_total", node=node)
-            self._m_expired = obs.metrics.counter("rq_expired_total", node=node)
-            self._m_late = obs.metrics.counter("rq_late_responses_total", node=node)
-            self._m_active = obs.metrics.gauge("rq_active_anchors", node=node)
+            obs.metrics.pull_counters(self, STATS_SERIES, node=node)
+            obs.metrics.pull_gauge("rq_active_anchors", self, "active_anchors", node=node)
             self._m_window = obs.metrics.gauge("rq_window_seconds", node=node)
             self._m_wait = obs.metrics.histogram("rq_wait_seconds", node=node)
 
@@ -214,8 +223,6 @@ class ResponseQueue:
         if anchor is None:
             if not self._free:
                 self.rejected += 1
-                if self._obs is not None:
-                    self._m_rejected.inc()
                 return AddOutcome(accepted=False)
             anchor = self._anchors[self._free.pop()]
             anchor.in_use = True
@@ -231,9 +238,7 @@ class ResponseQueue:
             if self._obs is not None:
                 self._m_window.set(effective)
         anchor.waiters.append(Waiter(payload=payload, enqueued_at=now, mode=mode))
-        if self._obs is not None:
-            self._m_enq.inc()
-            self._m_active.set(self._active)
+        self.enqueued += 1
         return AddOutcome(accepted=True, queue_was_empty=was_empty)
 
     # -- release paths ---------------------------------------------------------
@@ -270,12 +275,9 @@ class ResponseQueue:
             self._free.append(anchor.index)
             self._dissociate(loc, mode)
         self.fast_responses += len(released)
-        if self._obs is not None and released:
-            self._m_released.inc(len(released))
-            self._m_active.set(self._active)
-            if now is not None:
-                for w in released:
-                    self._m_wait.record(now - w.enqueued_at)
+        if self._obs is not None and now is not None:
+            for w in released:
+                self._m_wait.record(now - w.enqueued_at)
         return released
 
     def on_late_response(
@@ -314,8 +316,7 @@ class ResponseQueue:
         else:
             del self._parked[key]
         self.late_responses += len(released)
-        if self._obs is not None and released:
-            self._m_late.inc(len(released))
+        if self._obs is not None:
             for w in released:
                 self._m_wait.record(now - w.enqueued_at)
         return released
@@ -346,9 +347,7 @@ class ResponseQueue:
                 if self.park_ttl > 0 and waiters:
                     self._park(loc, waiters, now)
         self.timeouts += len(expired)
-        if self._obs is not None and expired:
-            self._m_expired.inc(len(expired))
-            self._m_active.set(self._active)
+        if self._obs is not None:
             for w in expired:
                 self._m_wait.record(now - w.enqueued_at)
         return expired

@@ -3,10 +3,12 @@
 Production XRootD deployments live and die by their monitoring streams;
 this package gives the reproduction the same eyes.  It has three parts:
 
-* :mod:`repro.obs.registry` — a zero-dependency metrics registry of
-  counters, gauges and bench-grade histograms (the histograms are
-  :class:`repro.sim.monitor.Histogram`, so bench reporting and in-system
-  metrics share one percentile vocabulary);
+* :mod:`repro.obs.registry` — a zero-dependency metrics registry.
+  Counters are read through from the fields that already hold each fact
+  (``CmsdStats.locates``, ``ResponseQueue.fast_responses``, ...) when a
+  snapshot is taken; gauges that sample a moment and bench-grade
+  histograms (:class:`repro.sim.monitor.Histogram`, so bench reporting
+  and in-system metrics share one percentile vocabulary) are pushed;
 * :mod:`repro.obs.trace` — per-request *resolution traces*: spans and
   point events recorded as a lookup walks client → manager cmsd →
   supervisor → server, stamped with sim-kernel time;
@@ -15,10 +17,11 @@ this package gives the reproduction the same eyes.  It has three parts:
   queue-wait percentiles) that ``benchmarks/reporting.py`` consumes.
 
 Everything hangs off one :class:`Observability` hub.  Instrumented
-components take ``obs=None`` and guard every instrumentation site with a
-single ``is not None`` check, so the uninstrumented path stays as fast as
-before this layer existed.  Enable it cluster-wide with
-``ScallaConfig(observability=True)``::
+components take ``obs=None``.  Their counters are plain fields, always on
+whether or not a hub is attached; a hub binds its counter series to them
+once, at construction.  Only trace events, histogram samples and
+moment-sampling gauges sit behind an ``is not None`` check.  Enable it
+cluster-wide with ``ScallaConfig(observability=True)``::
 
     cluster = ScallaCluster(16, config=ScallaConfig(observability=True))
     ...

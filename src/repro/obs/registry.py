@@ -1,24 +1,33 @@
 """The metrics registry: counters, gauges, histograms, by name + labels.
 
-Zero dependencies, and deliberately boring: an instrument is resolved once
-(at component construction time) and then mutated through plain attribute
-arithmetic, so the per-event cost on an instrumented hot path is one
-``is not None`` guard plus one integer add.  Lookup-by-name on every event
-— the classic metrics-library tax — never happens inside the hot loops.
+Zero dependencies, and deliberately boring.  Every fact the protocol
+counts already lives in a field of the component that counts it — a
+``*Stats`` dataclass (``CmsdStats.locates``), or a plain attribute
+(``ResponseQueue.fast_responses``, ``Simulator.events_processed``).  The
+registry does not count those facts a second time: :meth:`pull_counters`
+and :meth:`pull_gauge` bind a series to the field, and the value is read
+when a snapshot is taken, the way a Prometheus collector pulls.  So each
+counter exists once and is always on, and an instrumented hot path pays
+nothing for it.
+
+Pushed instruments remain for what no field holds: histograms
+(:class:`repro.sim.monitor.Histogram`, so per-node series merge into
+cluster totals via :meth:`~repro.sim.monitor.Histogram.merge` and report
+the same p50/p95/p99 summary the benches print) and gauges that sample a
+moment (the cache population at each window tick).  Those are resolved
+once, at component construction, and then mutated through plain
+attribute arithmetic — never looked up by name inside a hot loop.
 
 Metric identity is ``(name, sorted(labels))``, the Prometheus convention:
-``counter("cache_lookups_total", node="m0")`` and the same name with
-``node="s3"`` are independent series that an exporter can aggregate.
-Histograms are :class:`repro.sim.monitor.Histogram`, so per-node series
-merge into cluster totals via :meth:`~repro.sim.monitor.Histogram.merge`
-and report the same p50/p95/p99 summary the benches already print.
+``cache_lookups_total{node="m0"}`` and the same name with ``node="s3"``
+are independent series that an exporter can aggregate.
 """
 
 from __future__ import annotations
 
 from repro.sim.monitor import Histogram
 
-__all__ = ["Counter", "Gauge", "MetricsRegistry", "labels_key"]
+__all__ = ["Counter", "Gauge", "MetricsRegistry", "Pulled", "labels_key"]
 
 
 def labels_key(labels: dict[str, str]) -> tuple[tuple[str, str], ...]:
@@ -55,12 +64,34 @@ class Gauge:
         self.value += delta
 
 
+class Pulled:
+    """A series whose value is read from ``(owner, attribute)`` sources.
+
+    A node restart builds fresh daemons with fresh stats, and binds them
+    to the same series.  A counter sums every instance it was ever bound
+    to, so a rebooted daemon keeps counting; a gauge reads the newest.
+    """
+
+    __slots__ = ("sources", "summed")
+
+    def __init__(self, summed: bool) -> None:
+        self.sources: list[tuple[object, str]] = []
+        self.summed = summed
+
+    @property
+    def value(self):
+        if self.summed:
+            return sum(getattr(owner, attr) for owner, attr in self.sources)
+        owner, attr = self.sources[-1]
+        return getattr(owner, attr)
+
+
 class MetricsRegistry:
     """Get-or-create store of instruments keyed by name + labels."""
 
     def __init__(self) -> None:
-        self._counters: dict[tuple, Counter] = {}
-        self._gauges: dict[tuple, Gauge] = {}
+        self._counters: dict[tuple, Counter | Pulled] = {}
+        self._gauges: dict[tuple, Gauge | Pulled] = {}
         self._histograms: dict[tuple, Histogram] = {}
 
     # -- instrument factories ------------------------------------------------
@@ -82,6 +113,25 @@ class MetricsRegistry:
             inst = store[key] = factory()
         return inst
 
+    # -- read-through series -------------------------------------------------
+
+    def pull_counters(self, owner: object, fields: dict[str, str], **labels: str) -> None:
+        """Bind each counter series ``name`` to ``owner.<fields[name]>``."""
+        for name, attr in fields.items():
+            self._pull(self._counters, name, labels, owner, attr, summed=True)
+
+    def pull_gauge(self, name: str, owner: object, attr: str, **labels: str) -> None:
+        """Bind gauge series ``name`` to ``owner.<attr>``."""
+        self._pull(self._gauges, name, labels, owner, attr, summed=False)
+
+    @staticmethod
+    def _pull(store: dict, name: str, labels: dict, owner: object, attr: str, *, summed: bool):
+        key = (name, labels_key(labels))
+        series = store.get(key)
+        if series is None:
+            series = store[key] = Pulled(summed)
+        series.sources.append((owner, attr))
+
     # -- aggregation / readout -----------------------------------------------
 
     def counter_total(self, name: str) -> int:
@@ -97,7 +147,11 @@ class MetricsRegistry:
         return total
 
     def collect(self):
-        """Iterate ``(kind, name, labels, instrument)`` over everything."""
+        """Iterate ``(kind, name, labels, instrument)`` over everything.
+
+        Every instrument has a ``value`` (read through, for pulled series)
+        except histograms, which have a ``summary()``.
+        """
         for (name, lk), c in sorted(self._counters.items()):
             yield "counter", name, dict(lk), c
         for (name, lk), g in sorted(self._gauges.items()):

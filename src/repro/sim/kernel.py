@@ -62,6 +62,7 @@ _PENDING = object()
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
+_INF = float("inf")
 
 
 class Event:
@@ -462,26 +463,28 @@ class Simulator:
         self._timeout_pool: list[_PooledTimeout] = []
         self._seq = 0
         self.events_processed = 0
-        # Observability (repro.obs), off by default.  Instruments are
-        # resolved once at attach; the dispatch loop pays a single None
-        # check when disabled — the kernel is the hottest loop in the repo.
-        self._obs_events = None
-        self._obs_heap = None
 
     @property
     def now(self) -> float:
         return self._now
 
+    @property
+    def queue_depth(self) -> int:
+        """Pending entries: heap plus ring, as a heap-only kernel counted."""
+        return len(self._heap) + len(self._ready)
+
     def attach_observability(self, obs) -> None:
         """Bind *obs* (a :class:`repro.obs.Observability`) to this kernel.
 
-        The hub's clock becomes sim time and the kernel starts counting
-        processed events and sampling its event-heap depth (heap plus
-        ring, so the depth matches what a heap-only kernel reported).
+        The hub's clock becomes sim time, and the ``sim_events_total`` and
+        ``sim_heap_depth`` series read :attr:`events_processed` and
+        :attr:`queue_depth` when a snapshot is taken; the dispatch loop
+        itself never touches the hub.  :meth:`run` adds its events to
+        :attr:`events_processed` when it returns.
         """
         obs.bind_clock(lambda: self._now)
-        self._obs_events = obs.metrics.counter("sim_events_total")
-        self._obs_heap = obs.metrics.gauge("sim_heap_depth")
+        obs.metrics.pull_counters(self, {"sim_events_total": "events_processed"})
+        obs.metrics.pull_gauge("sim_heap_depth", self, "queue_depth")
 
     # -- factories ---------------------------------------------------------
 
@@ -568,18 +571,12 @@ class Simulator:
         if self._ring_first():
             seq, fn, value, exc = self._ready.popleft()
             self.events_processed += 1
-            if self._obs_events is not None:
-                self._obs_events.inc()
-                self._obs_heap.value = len(self._heap) + len(self._ready)
             fn(value, exc)
             return
         when, _seq, fn, arg = _heappop(self._heap)
         assert when >= self._now, "time went backwards"
         self._now = when
         self.events_processed += 1
-        if self._obs_events is not None:
-            self._obs_events.inc()
-            self._obs_heap.value = len(self._heap) + len(self._ready)
         fn(arg)
 
     def run(self, until: float | None = None) -> None:
@@ -599,67 +596,41 @@ class Simulator:
         pool = self._timeout_pool
         pop = _heappop
         popleft = ready.popleft
-        # Observability instruments are bound before any run (attach is a
-        # setup-time call), so the loop hoists the None check to one load.
-        obs_events = self._obs_events
-        obs_heap = self._obs_heap
         fire_pooled = _fire_pooled
+        limit = _INF if until is None else until
         processed = 0
         try:
-            if until is None and obs_events is None:
-                # The common case — whole-workload runs without metrics —
-                # pays for nothing but dispatch itself.
-                while heap or ready:
-                    if ready and (
-                        not heap or heap[0][0] > self._now or heap[0][1] > ready[0][0]
-                    ):
-                        _seq, fn, value, exc = popleft()
-                        processed += 1
-                        fn(value, exc)
-                        continue
-                    when, _seq, fn, arg = pop(heap)
-                    self._now = when
-                    processed += 1
-                    if fn is fire_pooled:
-                        # _PooledTimeout._fire, inlined.
-                        event = arg
-                        value = event._pending_value
-                        event._value = value
-                        callbacks = event.callbacks
-                        event.callbacks = None
-                        waiter = event._waiter
-                        if waiter is not None:
-                            event._waiter = None
-                            waiter._resume_core(value, None)
-                        if callbacks:
-                            for cb in callbacks:
-                                cb(event)
-                            callbacks.clear()
-                        event._cb_store = callbacks
-                        pool.append(event)
-                    else:
-                        fn(arg)
-                return
             while heap or ready:
                 if ready and (not heap or heap[0][0] > self._now or heap[0][1] > ready[0][0]):
                     _seq, fn, value, exc = popleft()
                     processed += 1
-                    if obs_events is not None:
-                        obs_events.inc()
-                        obs_heap.value = len(heap) + len(ready)
                     fn(value, exc)
                     continue
-                when = heap[0][0]
-                if until is not None and when > until:
+                if heap[0][0] > limit:
                     self._now = until
                     return
                 when, _seq, fn, arg = pop(heap)
                 self._now = when
                 processed += 1
-                if obs_events is not None:
-                    obs_events.inc()
-                    obs_heap.value = len(heap) + len(ready)
-                fn(arg)
+                if fn is fire_pooled:
+                    # _PooledTimeout._fire, inlined.
+                    event = arg
+                    value = event._pending_value
+                    event._value = value
+                    callbacks = event.callbacks
+                    event.callbacks = None
+                    waiter = event._waiter
+                    if waiter is not None:
+                        event._waiter = None
+                        waiter._resume_core(value, None)
+                    if callbacks:
+                        for cb in callbacks:
+                            cb(event)
+                        callbacks.clear()
+                    event._cb_store = callbacks
+                    pool.append(event)
+                else:
+                    fn(arg)
         except StopSimulation:
             return
         finally:

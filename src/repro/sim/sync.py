@@ -29,7 +29,11 @@ class Store:
     """Unbounded FIFO of items; ``get`` events fire in request order.
 
     Items put while getters wait are handed over immediately (at the same
-    simulated time); otherwise they queue.
+    simulated time); otherwise they queue.  A getter whose process was
+    interrupted while parked has no waiter left; it is discarded instead
+    of swallowing the next item, so a daemon restarted on the same inbox
+    receives the first message sent to it.  (A getter must therefore be
+    yielded before anything is put: the ``yield store.get()`` idiom.)
     """
 
     def __init__(self, sim: Simulator) -> None:
@@ -51,8 +55,8 @@ class Store:
         getters = self._getters
         while getters:
             getter = getters.popleft()
-            if getter._value is not _PENDING or getter._exception is not None:
-                continue  # getter was interrupted/abandoned
+            if not getter.callbacks:
+                continue  # its process was interrupted: nobody would take it
             getter._value = item
             sim = getter.sim
             _heappush(sim._heap, (sim._now, sim._seq, _fire_event, getter))
@@ -73,8 +77,8 @@ class Store:
         getters = self._getters
         while getters:
             getter = getters.popleft()
-            if getter._value is not _PENDING or getter._exception is not None:
-                continue  # getter was interrupted/abandoned
+            if not getter.callbacks:
+                continue  # its process was interrupted: nobody would take it
             getter._value = item
             _fire_event(getter)
             return

@@ -22,14 +22,16 @@ class TestMain:
         assert "SIM002" in out.out
         assert "SCA002" in out.out
         assert "SCA003" in out.out
-        assert "3 violation(s)" in out.err
+        assert "SCA004" in out.out
+        assert "5 violation(s)" in out.err
 
     def test_fixture_json_output(self, capsys):
         assert main(["--format", "json", str(FIXTURE)]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["tool"] == "scalla-lint"
         assert payload["files_checked"] == 1
-        assert {v["rule"] for v in payload["violations"]} == {"SIM002", "SCA002", "SCA003"}
+        rules = {v["rule"] for v in payload["violations"]}
+        assert rules == {"SIM002", "SCA002", "SCA003", "SCA004"}
         for v in payload["violations"]:
             assert v["line"] > 0 and v["message"]
 
@@ -53,7 +55,9 @@ class TestMain:
     def test_list_rules_catalogue(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("SIM001", "SIM002", "SIM003", "SIM004", "SCA001", "SCA002", "SCA003"):
+        for rule_id in (
+            "SIM001", "SIM002", "SIM003", "SIM004", "SCA001", "SCA002", "SCA003", "SCA004"
+        ):
             assert rule_id in out
 
     def test_directory_walk_skips_fixture(self, capsys):

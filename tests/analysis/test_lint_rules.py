@@ -291,6 +291,39 @@ class TestSca003NoDispatchAllocation:
         assert rule_ids(src) == []
 
 
+class TestSca004NoPushedCounters:
+    def test_counter_creation(self):
+        src = 'self._m = obs.metrics.counter("cache_lookups_total", node=node)\n'
+        assert "SCA004" in rule_ids(src)
+
+    def test_counter_creation_through_an_alias(self):
+        assert "SCA004" in rule_ids('m = obs.metrics\nc = m.counter("x")\n')
+
+    def test_inc_call(self):
+        assert "SCA004" in rule_ids("self._m_lookups.inc()\n")
+
+    def test_pulled_series_and_gauges_are_clean(self):
+        src = """
+        obs.metrics.pull_counters(self.stats, STATS_SERIES, node=node)
+        self._m_population = obs.metrics.gauge("cache_population", node=node)
+        self.stats.lookups += 1
+        """
+        assert rule_ids(src) == []
+
+    def test_applies_in_tests_and_benchmarks(self):
+        assert "SCA004" in rule_ids("c.inc(2)\n", path="tests/cluster/t.py")
+        assert "SCA004" in rule_ids("c.inc(2)\n", path=BENCH)
+
+    def test_obs_package_and_its_tests_are_exempt(self):
+        src = 'reg.metrics.counter("hits").inc()\n'
+        assert rule_ids(src, path="src/repro/obs/registry.py") == []
+        assert rule_ids(src, path="tests/obs/test_registry.py") == []
+
+    def test_suppressed(self):
+        src = "self._m_lookups.inc()  # scalla-lint: disable=SCA004\n"
+        assert rule_ids(src) == []
+
+
 class TestSuppressionMachinery:
     def test_disable_file(self):
         src = "# scalla-lint: disable-file=SIM002\nimport random\nx = random.random()\n"

@@ -8,6 +8,7 @@ refresh+avoid (§III-C1), manager restart rebuilding state from re-logins
 import pytest
 
 from repro.cluster import NoSuchFile, ScallaCluster, ScallaConfig
+from repro.cluster import protocol as pr
 from repro.core import bitvec
 
 
@@ -87,6 +88,29 @@ class TestServerCrashRecovery:
         assert mgr.membership.n_c > n_c_before
 
 
+class TestRestartedInbox:
+    def test_restarted_server_cmsd_receives_login_ack(self):
+        """A crash interrupts the cmsd parked on its inbox; the cmsd booted
+        on the same inbox must get the parent's LoginAck, the first message
+        after its login, instead of a dead getter swallowing it."""
+        cluster = ScallaCluster(4, config=fast_config(seed=1))
+        cluster.settle()
+        node = cluster.node(cluster.servers[1])
+        node.crash()
+        cluster.run(until=cluster.sim.now + 0.5)
+        node.restart()
+        seen = []
+        dispatch = node.cmsd._dispatch
+
+        def recording(msg, src, sent_at=0.0):
+            seen.append(type(msg))
+            dispatch(msg, src, sent_at)
+
+        node.cmsd._dispatch = recording
+        cluster.settle(0.05)
+        assert seen[:1] == [pr.LoginAck]
+
+
 class TestManagerRestart:
     def test_manager_rebuilds_membership_from_relogins(self):
         """§V: no persistent state — a restarted manager re-learns its
@@ -105,9 +129,27 @@ class TestManagerRestart:
         assert res.size == 32
         assert cluster.sim.now - t0 < 10.0  # "within seconds"
 
+    def test_power_cycled_cluster_waits_for_relogins(self):
+        """Every node restarts at once, servers first, so their logins hit
+        a manager host that is still down.  The fresh manager knows no
+        subordinate until their next heartbeat; a client asking at once
+        must be told to wait, not that the file is nowhere."""
+        cluster = ScallaCluster(4, config=fast_config())
+        cluster.populate(["/store/cycle.root"], size=32)
+        cluster.settle()
+        for name in cluster.nodes:
+            cluster.node(name).crash()
+        for name in cluster.nodes:
+            cluster.node(name).restart()
+        client = cluster.client()
+        res = cluster.run_process(client.open("/store/cycle.root"), limit=60)
+        assert res.size == 32
+        assert cluster.manager_cmsd().stats.notfounds == 0
+        assert client.stats.waits >= 1
+
     def test_manager_replica_failover(self):
         cluster = ScallaCluster(
-            4, config=fast_config(manager_replicas=2)
+            4, config=fast_config(managers=2)
         )
         cluster.populate(["/store/d.root"], size=32)
         cluster.settle()

@@ -165,6 +165,22 @@ class TestSupervisorRehome:
         res = cluster.run_process(cluster.client().open("/store/t/f3.root"), limit=120)
         assert res.size == 64
 
+    def test_rehome_to_manager_level_joins_every_peer_manager(self):
+        """With peer managers, a server escalating to the manager level
+        logs into all of them, as top-level subordinates do.  Adopting one
+        left the other blind to the subtree: a client failing over to it
+        got a refresh-verified false NotFound (chaos soak, seed 7)."""
+        cluster = tree_cluster(managers=2)
+        for sup in cluster.topology.supervisors:
+            cluster.node(sup).crash()
+        cluster.run(until=cluster.sim.now + 4.0)
+        for srv in cluster.servers:
+            assert cluster.node(srv).current_parents == ("mgr0", "mgr1")
+        cluster.node("mgr0").crash()
+        res = cluster.run_process(cluster.client().open("/store/t/f3.root"), limit=120)
+        assert res.size == 64
+        assert cluster.manager_cmsd(1).membership.member_count() == 2 + len(cluster.servers)
+
     def test_orphan_accounting_and_relogin_backoff(self):
         """A subordinate with nowhere to go (manager dead, no standbys)
         records orphaned time and backs off its re-login storm instead of

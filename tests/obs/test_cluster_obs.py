@@ -9,9 +9,15 @@ that oracle exactly — if instrumentation drifts off the hot path, or the
 resolution flow changes shape, this fails loudly.
 """
 
+import pathlib
+import re
+
 import pytest
 
 from repro.cluster import ScallaCluster, ScallaConfig
+from repro.obs.registry import Pulled
+
+DOCS = pathlib.Path(__file__).resolve().parents[2] / "docs" / "observability.md"
 
 N_PATHS = 5
 WARM_ROUNDS = 2
@@ -112,3 +118,20 @@ class TestDisabledPath:
         assert cluster.obs is None
         with pytest.raises(RuntimeError):
             cluster.obs_snapshot()
+
+
+class TestDocumentedSources:
+    def test_docs_name_the_field_every_series_reads(self, driven_cluster):
+        """The source column of docs/observability.md is the binding."""
+        documented = {}
+        for line in DOCS.read_text().splitlines():
+            cells = [c.strip() for c in line.split("|")[1:-1]]
+            if len(cells) == 4 and re.fullmatch(r"`\w+\.\w+`", cells[2]):
+                for name in re.findall(r"`(\w+)`", cells[0]):
+                    documented[name] = cells[2].strip("`")
+        bound = {}
+        for _kind, name, _labels, inst in driven_cluster.obs.metrics.collect():
+            if isinstance(inst, Pulled):
+                owner, attr = inst.sources[0]
+                bound[name] = f"{type(owner).__name__}.{attr}"
+        assert documented == bound

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.sim.errors import Interrupt
 from repro.sim.kernel import Simulator
 from repro.sim.sync import Resource, Store
 
@@ -74,6 +75,34 @@ class TestStore:
         sim.process(producer())
         sim.run()
         assert got == [("a", "first"), ("b", "second")]
+
+    @pytest.mark.parametrize("method", ["put", "deliver"])
+    def test_interrupted_getter_does_not_swallow_next_item(self, method):
+        """A loop interrupted while parked on ``get()`` leaves its getter in
+        the store; the loop restarted after it must still receive the first
+        item (a restarted daemon on the same inbox)."""
+        sim = Simulator()
+        store = Store(sim)
+        got = []
+
+        def loop(tag):
+            try:
+                while True:
+                    item = yield store.get()
+                    got.append((tag, item))
+            except Interrupt:
+                return
+
+        old = sim.process(loop("old"))
+        sim.run()
+        old.interrupt("stop")
+        sim.process(loop("new"))
+        sim.run()
+        sim.call_later(1.0, getattr(store, method), 1)
+        sim.call_later(2.0, getattr(store, method), 2)
+        sim.run()
+        assert got == [("new", 1), ("new", 2)]
+        assert len(store._getters) == 1  # only the live loop's
 
     def test_len_and_drain(self):
         sim = Simulator()
