@@ -6,9 +6,11 @@
 #                              # determinism double-run + sanitized
 #                              # chaos soak
 #   scripts/check.sh --bench   # also run the E1/E6 smoke benches,
-#                              # validate their metric snapshots, and
-#                              # gate the perf suite against the
-#                              # committed BENCH_*.json baseline
+#                              # fail if their simulated tables differ
+#                              # from the committed ones, validate
+#                              # their metric snapshots, and gate the
+#                              # perf suite against the committed
+#                              # BENCH_*.json baseline
 #
 # Ruff is optional locally (CI always has it): when it is not importable
 # the lint step is skipped with a warning instead of failing, so the
@@ -61,6 +63,8 @@ if [ "$run_bench" -eq 1 ]; then
   python -m pytest benchmarks/bench_e1_redirection.py \
                    benchmarks/bench_e6_fastresponse.py \
                    -p no:cacheprovider -q
+  echo "== simulated E1/E6 tables unchanged (faster, not different)"
+  git diff --exit-code -- 'benchmarks/results/e1*.md' 'benchmarks/results/e6*.md'
   echo "== snapshot gate"
   python scripts/check_snapshots.py \
     benchmarks/results/e1.metrics.json \

@@ -25,7 +25,8 @@ reproduction:
   (SCA002) — a hard-coded non-Fibonacci size silently reintroduces the
   power-of-two clustering the paper's footnote 4 measured;
 * the kernel's dispatch path never allocates event objects (SCA003) —
-  ``Simulator.step()``/``run()`` must route immediate wakeups through the
+  ``Simulator.step()`` and the dispatch loop behind ``run()``/
+  ``run_until_process()`` must route immediate wakeups through the
   deferred-resume ring and recycled timeout storage, or the allocation
   rate the ``benchmarks/perf`` suite gates on silently creeps back;
 * a counted fact has one home, a field of the component that counts it
@@ -454,7 +455,7 @@ class FibonacciTableSizes(Rule):
 @register
 class NoDispatchAllocation(Rule):
     id = "SCA003"
-    title = "no Event/Timeout/Process construction inside Simulator.step()/run()"
+    title = "no Event/Timeout/Process construction in Simulator's dispatch loop"
     rationale = (
         "The dispatch loop runs once per simulated event — the hottest path "
         "in the repo, tracked by `benchmarks/perf` and gated by "
@@ -466,7 +467,7 @@ class NoDispatchAllocation(Rule):
     )
 
     _EVENT_TYPES = frozenset({"Event", "Timeout", "Process"})
-    _DISPATCH_METHODS = frozenset({"step", "run"})
+    _DISPATCH_METHODS = frozenset({"step", "run", "run_until_process", "_loop"})
 
     def check(self, tree: ast.Module, ctx: "FileContext") -> None:
         for cls in ast.walk(tree):

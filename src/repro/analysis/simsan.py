@@ -195,6 +195,14 @@ class Sanitizer:
     def check_queue(self, rq: ResponseQueue) -> None:
         """Anchor free/active partition, timeline reachability, waiters."""
         anchors = rq._anchors
+        if len(anchors) > rq.capacity:
+            raise AnchorLeakViolation(
+                "more anchors built than the queue's capacity",
+                invariant="anchor-capacity",
+                node=self.node,
+                anchors=len(anchors),
+                capacity=rq.capacity,
+            )
         in_use = [a for a in anchors if a.in_use]
         if len(in_use) != rq._active:
             raise AnchorLeakViolation(

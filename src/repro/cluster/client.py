@@ -15,6 +15,11 @@ Implements the client half of the protocol (§II-B2/B3 and §III-C1):
 All operations are generator coroutines to be driven by the simulator::
 
     result = sim.run_until_process(sim.process(client.open("/store/x")))
+
+Every request (and every watched ``Wait``) waits on its reply event
+alone.  Its timeout is a kernel callback timer bound to that event, which
+succeeds it with ``None`` if no reply came first: a reply costs the
+coroutine one resume, with no ``AnyOf`` or ``Timeout`` behind it.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 from repro.cluster import protocol as pr
 from repro.cluster.ids import Role, cmsd_host, xrootd_host
 from repro.core.response_queue import AccessMode
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import Event, Simulator
 from repro.sim.network import Network
 
 __all__ = [
@@ -108,6 +113,12 @@ STATS_SERIES = {
 }
 
 
+def _expire(ev: Event) -> None:
+    """Request timeout: an unanswered reply event yields None."""
+    if not ev.triggered:
+        ev.succeed(None)
+
+
 @dataclass
 class OpenResult:
     """A successfully opened file."""
@@ -166,16 +177,25 @@ class ScallaClient:
             if ev is not None and not ev.triggered:
                 ev.succeed(env.payload)
 
+    def _reply_event(self, req_id: int, timeout: float) -> Event:
+        """An event for *req_id*'s reply that yields None after *timeout*.
+
+        The expiry is a callback timer bound to this event, not to the
+        ``req_id``: a stale expiry finds its event already triggered and
+        does nothing, even when a watched Wait has registered a new event
+        under the same ``req_id`` since.
+        """
+        ev = self._pending[req_id] = self.sim.event()
+        self.sim.call_later(timeout, _expire, ev)
+        return ev
+
     def _request(self, to_host: str, msg, timeout: float):
         """Send *msg*, wait for its reply or *timeout*; returns reply or None."""
-        ev = self.sim.event()
-        self._pending[msg.req_id] = ev
         self.network.send(self.host.name, to_host, msg, size=pr.estimate_size(msg))
-        yield self.sim.any_of([ev, self.sim.timeout(timeout)])
-        if ev.triggered:
-            return ev.value
-        self._pending.pop(msg.req_id, None)
-        return None
+        reply = yield self._reply_event(msg.req_id, timeout)
+        if reply is None:
+            self._pending.pop(msg.req_id, None)
+        return reply
 
     def _req_id(self) -> int:
         rid = self._next_req
@@ -316,15 +336,13 @@ class ScallaClient:
                     # The sender parked our request for late-response
                     # reconciliation: keep the req_id registered so an
                     # unsolicited Redirect can cut the wait short.
-                    ev = self.sim.event()
-                    self._pending[msg.req_id] = ev
-                    yield self.sim.any_of([ev, self.sim.timeout(resp.delay)])
-                    if ev.triggered and isinstance(ev.value, (pr.Redirect, pr.NotFound)):
+                    late = yield self._reply_event(msg.req_id, resp.delay)
+                    if isinstance(late, (pr.Redirect, pr.NotFound)):
                         if trace is not None:
                             trace.event(
                                 "client.late_release", self._obs.now(), node=self.name
                             )
-                        early_resp = ev.value
+                        early_resp = late
                     else:
                         self._pending.pop(msg.req_id, None)
                 else:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.analysis.simsan import Sanitizer
 from repro.cluster import protocol as pr
@@ -636,10 +637,13 @@ class Cmsd:
     # -- main dispatch ---------------------------------------------------------
 
     def _main_loop(self):
+        # The inbox is a FIFO single-server queue: each message is handed
+        # over after its service time, drawn when its service starts.
+        serve = self.host.inbox.serve
+        draw = partial(self.config.service_time.sample, self.rng)
         try:
             while True:
-                env = yield self.host.inbox.get()
-                yield self.sim.sleep(self.config.service_time.sample(self.rng))
+                env = yield serve(draw)
                 self._dispatch(env.payload, env.src, env.sent_at)
         except Interrupt:
             return

@@ -151,8 +151,12 @@ class ResponseQueue:
     ) -> None:
         if anchors < 1:
             raise ValueError("need at least one anchor")
-        self._anchors = [_Anchor(index=i) for i in range(anchors)]
-        self._free: list[int] = list(range(anchors - 1, -1, -1))
+        #: Anchors are built on first use, up to *capacity*: most daemons
+        #: never have more than a few waiting at once.  Released indices go
+        #: on ``_free`` and are reused LIFO before a fresh one is built.
+        self.capacity = anchors
+        self._anchors: list[_Anchor] = []
+        self._free: list[int] = []
         #: Expiry heap: (absolute expiry time, anchor index, stamp).  A heap
         #: (not a deque) because per-anchor windows expire out of FIFO order.
         self._timeline: list[tuple[float, int, int]] = []
@@ -221,10 +225,14 @@ class ResponseQueue:
         was_empty = self._active == 0
         anchor = self._valid_anchor(loc, mode)
         if anchor is None:
-            if not self._free:
+            if self._free:
+                anchor = self._anchors[self._free.pop()]
+            elif len(self._anchors) < self.capacity:
+                anchor = _Anchor(index=len(self._anchors))
+                self._anchors.append(anchor)
+            else:
                 self.rejected += 1
                 return AddOutcome(accepted=False)
-            anchor = self._anchors[self._free.pop()]
             anchor.in_use = True
             anchor.loc = loc
             anchor.loc_generation = loc.generation

@@ -6,7 +6,12 @@ Two primitives cover everything the cluster layer needs:
   client) is a process looping on ``msg = yield inbox.get()``.  The
   network's delivery timers fill it with :meth:`Store.deliver`, which
   resumes a daemon parked on ``get()`` on the spot instead of scheduling
-  a second wake-up at the same instant.
+  a second wake-up at the same instant.  A daemon that spends a service
+  time on each message loops on ``msg = yield inbox.serve(draw)``
+  instead: the item is handed over once its service time has passed,
+  so each message costs one resume and two heap entries (its delivery
+  timer and its service completion), whether the daemon was parked or
+  busy when it arrived.
 * :class:`Resource` — a counting semaphore used to model finite server
   capacity (disk streams, CPU slots) so load experiments produce queueing
   rather than infinite parallelism.
@@ -15,7 +20,7 @@ Two primitives cover everything the cluster layer needs:
 from __future__ import annotations
 
 from collections import deque
-from typing import Any
+from typing import Any, Callable
 
 from repro.sim.kernel import Event, Simulator
 from repro.sim.kernel import _fire_event, _heappush, _PENDING  # hot-path handoff (see Store)
@@ -23,6 +28,12 @@ from repro.sim.kernel import _fire_event, _heappush, _PENDING  # hot-path handof
 __all__ = ["Store", "Resource"]
 
 _new_event = Event.__new__
+
+
+class _Served(Event):
+    """A :meth:`Store.serve` getter; *draw* gives its item's service time."""
+
+    __slots__ = ("draw",)
 
 
 class Store:
@@ -47,9 +58,10 @@ class Store:
     def put(self, item: Any) -> None:
         """Deposit *item*; wakes the oldest waiting getter, if any.
 
-        The wakeup is queued at the current time, so ``put`` is safe from
-        inside a running process.  It inlines ``Event.succeed`` on the
-        getter we just proved pending (the kernel ``store`` scenario in
+        The wakeup is queued at the current time (a served getter's after
+        its service time, drawn now), so ``put`` is safe from inside a
+        running process.  It inlines ``Event.succeed`` on the getter we
+        just proved pending (the kernel ``store`` scenario in
         ``benchmarks/perf`` times this path).
         """
         getters = self._getters
@@ -59,7 +71,8 @@ class Store:
                 continue  # its process was interrupted: nobody would take it
             getter._value = item
             sim = getter.sim
-            _heappush(sim._heap, (sim._now, sim._seq, _fire_event, getter))
+            when = sim._now + getter.draw() if getter.__class__ is _Served else sim._now
+            _heappush(sim._heap, (when, sim._seq, _fire_event, getter))
             sim._seq += 1
             return
         self._items.append(item)
@@ -73,6 +86,9 @@ class Store:
         :meth:`Simulator.call_later <repro.sim.kernel.Simulator.call_later>`
         callback, never from inside a running process: the resumed
         generator may be the caller's own.
+
+        A parked :meth:`serve` getter is not resumed: its service time
+        is drawn here and its completion scheduled that far ahead.
         """
         getters = self._getters
         while getters:
@@ -80,7 +96,12 @@ class Store:
             if not getter.callbacks:
                 continue  # its process was interrupted: nobody would take it
             getter._value = item
-            _fire_event(getter)
+            if getter.__class__ is _Served:
+                sim = getter.sim
+                _heappush(sim._heap, (sim._now + getter.draw(), sim._seq, _fire_event, getter))
+                sim._seq += 1
+            else:
+                _fire_event(getter)
             return
         self._items.append(item)
 
@@ -97,6 +118,33 @@ class Store:
             # Inlined ev.succeed(...): the event is fresh, provably pending.
             ev._value = items.popleft()
             _heappush(sim._heap, (sim._now, sim._seq, _fire_event, ev))
+            sim._seq += 1
+        else:
+            ev._value = _PENDING
+            self._getters.append(ev)
+        return ev
+
+    def serve(self, draw: Callable[[], float]) -> Event:
+        """Event yielding the next item after a service time of ``draw()``.
+
+        Models a single-server FIFO queue in front of the caller: service
+        of the next item starts now if one is queued, else when one
+        arrives (:meth:`deliver`/:meth:`put`), and ``draw`` is called at
+        that moment.  The event fires when service ends, so a daemon
+        looping ``msg = yield inbox.serve(draw)`` resumes once per item.
+        If the caller is interrupted — parked or in service — the getter
+        is skipped: it takes no item from the queue, and an item already
+        in service is dropped with the caller.
+        """
+        ev = _new_event(_Served)
+        ev.callbacks = []
+        ev._exception = None
+        ev.draw = draw
+        sim = ev.sim = self.sim
+        items = self._items
+        if items:
+            ev._value = items.popleft()
+            _heappush(sim._heap, (sim._now + draw(), sim._seq, _fire_event, ev))
             sim._seq += 1
         else:
             ev._value = _PENDING

@@ -234,6 +234,17 @@ class TestSca003NoDispatchAllocation:
         """
         assert "SCA003" in rule_ids(src)
 
+    def test_shared_dispatch_loop_flagged(self):
+        src = """
+        class Simulator:
+            def _loop(self, limit, proc):
+                Event(self).succeed()
+
+            def run_until_process(self, proc, limit=None):
+                Process(self, proc)
+        """
+        assert rule_ids(src).count("SCA003") == 2
+
     def test_attribute_call_flagged(self):
         src = """
         import repro.sim.kernel as kernel

@@ -218,11 +218,23 @@ class TestQueueChecks:
 
     def test_partition_violation(self):
         rq, _ = self._queue_with_waiter()
+        # Anchors are built on demand: build and release a second one so
+        # the free list holds an index, then lose that index.
+        other = make("/store/b")
+        rq.add_waiter(other, AccessMode.READ, payload="x", now=0.0)
+        rq.on_response(other, server=1, write_capable=False)
+        Sanitizer().check_queue(rq)
         rq._free.pop()
-        rq._active = len(rq._anchors) - len(rq._free) - 1
         with pytest.raises(AnchorLeakViolation) as exc_info:
             Sanitizer().check_queue(rq)
-        assert exc_info.value.invariant in ("anchor-partition", "active-count")
+        assert exc_info.value.invariant == "anchor-partition"
+
+    def test_anchors_beyond_capacity(self):
+        rq, _ = self._queue_with_waiter()
+        rq.capacity = 0
+        with pytest.raises(AnchorLeakViolation) as exc_info:
+            Sanitizer().check_queue(rq)
+        assert exc_info.value.invariant == "anchor-capacity"
 
 
 class TestSubordinateChecks:

@@ -1,6 +1,8 @@
 """Unit tests for the per-server filesystem."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.fs import FSError, ServerFS
 
@@ -100,3 +102,30 @@ class TestRemoveAndList:
         fs.put("/a", b"12345")
         fs.put("/b", b"12")
         assert fs.total_bytes() == 7
+
+
+_PATHS = st.sampled_from(["/a", "/b", "/c"])
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("put"), _PATHS, st.binary(max_size=40)),
+        st.tuples(st.just("create"), _PATHS),
+        st.tuples(
+            st.just("write"), _PATHS, st.integers(min_value=0, max_value=60), st.binary(max_size=30)
+        ),
+        st.tuples(st.just("remove"), _PATHS),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=_OPS)
+def test_running_total_equals_sum_of_sizes(ops):
+    """The O(1) byte total heartbeats read matches a full recount."""
+    fs = ServerFS()
+    for op, path, *args in ops:
+        try:
+            getattr(fs, op)(path, *args)
+        except FSError:
+            pass  # a failed create/write/remove must leave the total alone
+        assert fs.total_bytes() == sum(fs.stat(p).size for p in fs.paths())

@@ -53,6 +53,23 @@ class TestAddWaiter:
         assert not out.accepted
         assert q.rejected == 1
 
+    def test_anchors_built_on_demand_in_eager_index_order(self):
+        """Released indices are reused LIFO before a fresh one is built,
+        the order a pre-built array with a LIFO free list hands out."""
+        q = ResponseQueue(anchors=4)
+        assert q._anchors == []
+        locs = [make_loc(f"/f{i}") for i in range(6)]
+        for loc in locs[:3]:
+            q.add_waiter(loc, AccessMode.READ, loc.key, 0.0)
+        assert [loc.rq_read for loc in locs[:3]] == [0, 1, 2]
+        q.on_response(locs[1], server=0, write_capable=False)
+        q.on_response(locs[0], server=0, write_capable=False)
+        for loc in locs[3:]:
+            assert q.add_waiter(loc, AccessMode.READ, loc.key, 0.0).accepted
+        assert [loc.rq_read for loc in locs[3:]] == [0, 1, 3]
+        assert len(q._anchors) == 4
+        assert not q.add_waiter(locs[0], AccessMode.READ, "x", 0.0).accepted
+
     def test_zero_anchors_invalid(self):
         with pytest.raises(ValueError):
             ResponseQueue(anchors=0)

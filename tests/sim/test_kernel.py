@@ -332,6 +332,99 @@ class TestInterrupts:
         assert sim.now == 21.0
 
 
+class TestRunUntilProcess:
+    """``run_until_process`` runs the shared dispatch loop, yet stops at the
+    exact event a step-by-step reference stops at."""
+
+    @staticmethod
+    def _scenario():
+        """A target that finishes amid same-time timers, ring entries and
+        other processes, with work left queued after it."""
+        sim = Simulator()
+        log = []
+
+        def worker(tag, delays):
+            for d in delays:
+                yield sim.sleep(d)
+                log.append((tag, sim.now))
+
+        def target():
+            yield sim.timeout(1.0)
+            sim.process(worker("spawned", [0.0, 0.5]))
+            yield sim.sleep(0.0)
+            log.append(("target", sim.now))
+            return "done"
+
+        sim.process(worker("w1", [1.0, 1.0, 1.0]))
+        proc = sim.process(target())
+        sim.process(worker("w2", [0.5, 0.5, 0.5]))
+        sim.call_later(1.0, log.append, ("timer", 1.0))
+        return sim, proc, log
+
+    @staticmethod
+    def _state(sim, log):
+        return (sim.now, sim.events_processed, len(sim._heap), len(sim._ready), list(log))
+
+    def test_stops_where_step_loop_stops(self):
+        sim, proc, log = self._scenario()
+        assert sim.run_until_process(proc) == "done"
+        ref, ref_proc, ref_log = self._scenario()
+        while not ref_proc.triggered:
+            ref.step()
+        assert self._state(sim, log) == self._state(ref, ref_log)
+        assert sim._heap or sim._ready  # later work stayed queued
+        sim.run()
+        ref.run()
+        assert self._state(sim, log) == self._state(ref, ref_log)
+
+    def test_already_finished_process_runs_nothing(self):
+        sim, proc, _log = self._scenario()
+        sim.run_until_process(proc)
+        events = sim.events_processed
+        assert sim.run_until_process(proc) == "done"
+        assert sim.events_processed == events
+
+    def test_time_limit_raises_and_leaves_later_events_queued(self):
+        sim = Simulator()
+
+        def p():
+            yield sim.timeout(1.0)
+            yield sim.timeout(10.0)
+
+        proc = sim.process(p())
+        with pytest.raises(SimError, match="time limit 5"):
+            sim.run_until_process(proc, limit=5.0)
+        assert sim.now == 1.0 and proc.is_alive
+        assert sim.events_processed == 2  # bootstrap + first timeout
+        assert sim.run_until_process(proc, limit=20.0) is None
+        assert sim.now == 11.0
+
+    def test_time_limit_already_passed(self):
+        sim = Simulator()
+        sim.run(until=3.0)
+
+        def p():
+            yield sim.timeout(1.0)
+
+        proc = sim.process(p())
+        with pytest.raises(SimError, match="time limit"):
+            sim.run_until_process(proc, limit=2.0)
+        assert sim.events_processed == 0
+
+    def test_deadlock_after_other_events_drain(self):
+        sim = Simulator()
+        log = []
+
+        def p():
+            yield sim.event()  # never triggered
+
+        proc = sim.process(p())
+        sim.call_later(4.0, log.append, "timer")
+        with pytest.raises(SimError, match="deadlock"):
+            sim.run_until_process(proc, limit=10.0)
+        assert log == ["timer"] and sim.now == 4.0
+
+
 class TestRun:
     def test_run_until_leaves_clock_at_limit(self):
         sim = Simulator()

@@ -2,19 +2,26 @@
 
 Every wire message is one :meth:`Simulator.call_later` timer; when it
 fires, the envelope goes straight to a daemon parked on its inbox
-(:meth:`Store.deliver`).  These tests pin the ordering of callback
-timers against the other dispatch sources, the drop accounting for
-paths that die while a message is in flight, chaos duplication, the
-handoff instant, and the exact kernel cost of a warm E1 locate.
+(:meth:`Store.deliver`), or into service for a daemon on
+:meth:`Store.serve`.  Client requests wait on their reply event alone,
+with a callback timer for the timeout.  These tests pin the ordering of
+callback timers against the other dispatch sources, the drop accounting
+for paths that die while a message is in flight, chaos duplication, the
+handoff instant, FIFO service, request timeouts, and the exact kernel
+cost of a warm E1 locate.
 """
 
 import pathlib
 import random
+from types import SimpleNamespace
 
 import pytest
 
+from repro.cluster import protocol as pr
+from repro.cluster.client import ClientConfig, ScallaClient
+from repro.cluster.ids import Role, cmsd_host
 from repro.sim import kernel
-from repro.sim.errors import SimError
+from repro.sim.errors import Interrupt, SimError
 from repro.sim.kernel import Simulator
 from repro.sim.latency import Fixed
 from repro.sim.network import ChaosConfig, Network
@@ -227,12 +234,178 @@ class TestDirectHandoff:
         assert sim.events_processed - events0 == 50
 
 
+class TestServedInbox:
+    """``inbox.serve(draw)``: FIFO single-server service, one resume each."""
+
+    def _daemon(self, sim, host, got, draws, service=1.0):
+        def draw():
+            draws.append(sim.now)
+            return service
+
+        def loop():
+            try:
+                while True:
+                    env = yield host.inbox.serve(draw)
+                    got.append((sim.now, env.payload))
+            except Interrupt:
+                return
+
+        return sim.process(loop())
+
+    def test_parked_daemon_costs_two_events_per_message(self):
+        sim, net, a, b = make_net(latency=0.25)
+        got, draws = [], []
+        self._daemon(sim, b, got, draws, service=0.5)
+        sim.run()
+        before = sim.events_processed
+        net.send("a", "b", "x")
+        sim.run()
+        # Service starts at delivery and the item is handed over at its end.
+        assert draws == [0.25] and got == [(0.75, "x")]
+        assert sim.events_processed - before == 2
+
+    def test_busy_daemon_serves_queue_fifo_with_summed_service(self):
+        sim, net, a, b = make_net(latency=0.1)
+        got, draws = [], []
+        self._daemon(sim, b, got, draws)
+        sim.run()
+        before = sim.events_processed
+        for payload in ("m1", "m2", "m3"):
+            net.send("a", "b", payload)
+        sim.run()
+        assert got == [(1.1, "m1"), (2.1, "m2"), (3.1, "m3")]
+        # A queued message's service starts when the previous one ends.
+        assert draws == [0.1, 1.1, 2.1]
+        assert sim.events_processed - before == 2 * 3
+
+    def test_put_starts_service_of_parked_getter(self):
+        sim, net, a, b = make_net()
+        got, draws = [], []
+        self._daemon(sim, b, got, draws, service=2.0)
+
+        def producer():
+            yield sim.sleep(1.0)
+            b.inbox.put(SimpleNamespace(payload="x"))
+
+        sim.process(producer())
+        sim.run()
+        assert draws == [1.0] and got == [(3.0, "x")]
+
+    def test_interrupted_in_service_is_skipped(self):
+        sim, net, a, b = make_net(latency=0.1)
+        got_old, got_new, draws_old, draws_new = [], [], [], []
+        old = self._daemon(sim, b, got_old, draws_old)
+        net.send("a", "b", "m1")
+        sim.run(until=0.5)  # m1 is in service until 1.1
+        old.interrupt()
+        sim.run(until=0.6)
+        self._daemon(sim, b, got_new, draws_new)
+        net.send("a", "b", "m2")
+        sim.run()
+        # m1 is dropped with the daemon serving it; its completion at 1.1
+        # resumes nothing and takes nothing from the queue.
+        assert draws_old == [0.1] and got_old == []
+        assert draws_new == [pytest.approx(0.7)]
+        assert got_new == [(pytest.approx(1.7), "m2")]
+        assert not old.is_alive
+
+
+class _Responder:
+    """A host that answers requests on its own schedule."""
+
+    def __init__(self, sim, net, name):
+        self.sim, self.net = sim, net
+        self.host = net.add_host(name)
+        self.got = []
+        sim.process(self._loop())
+
+    def _loop(self):
+        while True:
+            env = yield self.host.inbox.get()
+            self.got.append(env.payload)
+
+    def reply_at(self, when, to, payload):
+        def send(p):
+            self.net.send(self.host.name, to, p)
+
+        self.sim.call_later(when - self.sim.now, send, payload)
+
+
+class TestClientRequests:
+    """``_request`` waits on its reply event; a timer expires it."""
+
+    def _setup(self, **cfg):
+        sim = Simulator()
+        net = Network(sim, default_latency=Fixed(0.5), rng=random.Random(1))
+        client = ScallaClient(sim, net, "c", ("mgr",), config=ClientConfig(**cfg))
+        return sim, net, client
+
+    def _stat(self, sim, client, to, timeout=2.0):
+        msg = pr.Stat(client._req_id(), client.host.name, "/f")
+        proc = sim.process(client._request(to, msg, timeout))
+        return msg, proc
+
+    def test_reply_before_timeout(self, spawned):
+        sim, net, client = self._setup()
+        srv = _Responder(sim, net, "srv")
+        sim.run()
+        procs0 = len(spawned)
+        msg, proc = self._stat(sim, client, "srv")
+        srv.reply_at(1.0, "c", pr.StatAck(msg.req_id, True, 3))
+        assert sim.run_until_process(proc) == pr.StatAck(msg.req_id, True, 3)
+        assert sim.now == 1.5
+        assert client._pending == {}
+        assert len(spawned) - procs0 == 1  # the request itself, nothing else
+        sim.run()  # the expiry timer finds its event answered
+
+    def test_timeout_returns_none(self):
+        sim, net, client = self._setup()
+        _Responder(sim, net, "srv")
+        msg, proc = self._stat(sim, client, "srv", timeout=2.0)
+        assert sim.run_until_process(proc) is None
+        assert sim.now == 2.0
+        assert client._pending == {}
+
+    def test_late_reply_ignored(self):
+        sim, net, client = self._setup()
+        srv = _Responder(sim, net, "srv")
+        msg, proc = self._stat(sim, client, "srv", timeout=2.0)
+        srv.reply_at(3.0, "c", pr.StatAck(msg.req_id, True, 3))
+        assert sim.run_until_process(proc) is None
+        sim.run()
+        assert sim.now == 3.5
+        assert client._pending == {}
+
+    def test_watched_wait_not_clobbered_by_stale_timer(self):
+        """The Locate's own expiry (at 2.0) must leave alone the watched
+        Wait registered under the same req_id, so the unsolicited
+        Redirect at 3.0 still cuts the 5 s wait short."""
+        sim, net, client = self._setup(locate_timeout=2.0)
+        mgr = _Responder(sim, net, cmsd_host("mgr"))
+
+        def manager():
+            while not mgr.got:
+                yield sim.sleep(0.1)
+            loc = mgr.got[0]
+            mgr.reply_at(sim.now, "c", pr.Wait(loc.req_id, loc.path, 5.0, watch=True))
+            redirect = pr.Redirect(loc.req_id, loc.path, "srv1", Role.SERVER.value)
+            mgr.reply_at(3.0, "c", redirect)
+
+        sim.process(manager())
+        node, pending = sim.run_until_process(sim.process(client.locate("/f")))
+        assert (node, pending) == ("srv1", False)
+        assert sim.now == pytest.approx(3.5)
+        assert client.stats.locates == 1 and client.stats.waits == 1
+        assert client._pending == {}
+
+
 class TestWarmLocateCost:
     """Exact kernel cost of a warm E1 locate (16 servers, fanout 4)."""
 
-    #: Per locate: 4 messages, each one delivery timer, plus the cmsd
-    #: service sleeps and the client's locate coroutine.
-    EVENTS_PER_LOCATE = 12
+    #: Per locate: 4 messages, each one delivery timer; the 2 requests
+    #: to cmsds, each one service completion and one reply event; the
+    #: locate coroutine's bootstrap and its join.
+    EVENTS_PER_LOCATE = 10
     MSGS_PER_LOCATE = 4
 
     def test_warm_locate_event_and_process_counts(self, monkeypatch, spawned):
@@ -251,6 +424,6 @@ class TestWarmLocateCost:
         assert sim.events_processed - events0 == self.EVENTS_PER_LOCATE * n
         assert stats.sent - msgs0 == self.MSGS_PER_LOCATE * n
         # The only process per locate is the locate coroutine itself:
-        # none is spawned for any of its messages.
+        # none is spawned for any of its messages or request timeouts.
         assert len(spawned) - procs0 == n
         assert (sim.now - t0) / n == pytest.approx(50e-6)

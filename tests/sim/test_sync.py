@@ -104,6 +104,42 @@ class TestStore:
         assert got == [("new", 1), ("new", 2)]
         assert len(store._getters) == 1  # only the live loop's
 
+    @pytest.mark.parametrize("method", ["put", "deliver"])
+    def test_interrupted_served_getter_does_not_swallow_next_item(self, method):
+        """The same for ``serve()``: the dead getter takes no item and
+        draws no service time."""
+        sim = Simulator()
+        store = Store(sim)
+        got = []
+
+        def loop(tag):
+            def draw():
+                got.append((tag, "draw", sim.now))
+                return 0.5
+
+            try:
+                while True:
+                    item = yield store.serve(draw)
+                    got.append((tag, item, sim.now))
+            except Interrupt:
+                return
+
+        old = sim.process(loop("old"))
+        sim.run()
+        old.interrupt("stop")
+        sim.process(loop("new"))
+        sim.run()
+        sim.call_later(1.0, getattr(store, method), 1)
+        sim.call_later(2.0, getattr(store, method), 2)
+        sim.run()
+        assert got == [
+            ("new", "draw", 1.0),
+            ("new", 1, 1.5),
+            ("new", "draw", 2.0),
+            ("new", 2, 2.5),
+        ]
+        assert len(store._getters) == 1  # only the live loop's
+
     def test_len_and_drain(self):
         sim = Simulator()
         store = Store(sim)
